@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <condition_variable>
-#include <cstring>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -324,82 +323,11 @@ void HvacClient::attach_observability(obs::FlightRecorder* recorder,
 }
 
 HvacClient::Stats HvacClient::stats_snapshot() const {
-  const auto load_all = [this] {
+  return obs::stable_snapshot([this] {
     Stats s;
-    s.reads = stats_.reads.load(std::memory_order_relaxed);
-    s.served_remote_cache =
-        stats_.served_remote_cache.load(std::memory_order_relaxed);
-    s.served_remote_fetch =
-        stats_.served_remote_fetch.load(std::memory_order_relaxed);
-    s.served_pfs_direct =
-        stats_.served_pfs_direct.load(std::memory_order_relaxed);
-    s.timeouts = stats_.timeouts.load(std::memory_order_relaxed);
-    s.nodes_flagged = stats_.nodes_flagged.load(std::memory_order_relaxed);
-    s.ring_updates = stats_.ring_updates.load(std::memory_order_relaxed);
-    s.checksum_failures =
-        stats_.checksum_failures.load(std::memory_order_relaxed);
-    s.replicas_pushed = stats_.replicas_pushed.load(std::memory_order_relaxed);
-    s.hedges_launched = stats_.hedges_launched.load(std::memory_order_relaxed);
-    s.hedge_wins = stats_.hedge_wins.load(std::memory_order_relaxed);
-    s.primary_wins_after_hedge =
-        stats_.primary_wins_after_hedge.load(std::memory_order_relaxed);
-    s.hedges_to_pfs = stats_.hedges_to_pfs.load(std::memory_order_relaxed);
-    s.probes_sent = stats_.probes_sent.load(std::memory_order_relaxed);
-    s.nodes_reinstated =
-        stats_.nodes_reinstated.load(std::memory_order_relaxed);
-    s.suspicions_reported =
-        stats_.suspicions_reported.load(std::memory_order_relaxed);
-    s.stale_view_hints =
-        stats_.stale_view_hints.load(std::memory_order_relaxed);
-    s.epoch_fast_forwards =
-        stats_.epoch_fast_forwards.load(std::memory_order_relaxed);
-    s.busy_rejections = stats_.busy_rejections.load(std::memory_order_relaxed);
-    s.retries_denied_by_budget =
-        stats_.retries_denied_by_budget.load(std::memory_order_relaxed);
-    s.deadline_give_ups =
-        stats_.deadline_give_ups.load(std::memory_order_relaxed);
-    s.load_hints_observed =
-        stats_.load_hints_observed.load(std::memory_order_relaxed);
-    s.spilled_reads = stats_.spilled_reads.load(std::memory_order_relaxed);
-    s.load_spread_reads =
-        stats_.load_spread_reads.load(std::memory_order_relaxed);
-    s.hot_promotions = stats_.hot_promotions.load(std::memory_order_relaxed);
-    s.hot_demotions = stats_.hot_demotions.load(std::memory_order_relaxed);
-    s.hot_invalidations =
-        stats_.hot_invalidations.load(std::memory_order_relaxed);
-    s.warm_pushes = stats_.warm_pushes.load(std::memory_order_relaxed);
-    s.warm_restores = stats_.warm_restores.load(std::memory_order_relaxed);
-    s.warm_deferred = stats_.warm_deferred.load(std::memory_order_relaxed);
-    s.warm_invalidations =
-        stats_.warm_invalidations.load(std::memory_order_relaxed);
-    s.prefetch_planned =
-        stats_.prefetch_planned.load(std::memory_order_relaxed);
-    s.prefetch_pulls = stats_.prefetch_pulls.load(std::memory_order_relaxed);
-    s.prefetch_hits = stats_.prefetch_hits.load(std::memory_order_relaxed);
-    s.prefetch_misses =
-        stats_.prefetch_misses.load(std::memory_order_relaxed);
-    s.prefetch_deferred =
-        stats_.prefetch_deferred.load(std::memory_order_relaxed);
-    s.prefetch_local_hits =
-        stats_.prefetch_local_hits.load(std::memory_order_relaxed);
-    s.p2p_rescues = stats_.p2p_rescues.load(std::memory_order_relaxed);
-    s.p2p_bytes = stats_.p2p_bytes.load(std::memory_order_relaxed);
-    s.fenced_puts = stats_.fenced_puts.load(std::memory_order_relaxed);
-    s.reconcile_repushes =
-        stats_.reconcile_repushes.load(std::memory_order_relaxed);
+    stats_.load_into(s);
     return s;
-  };
-  // Torn-snapshot guard: per-field loads are individually atomic but the
-  // struct is multi-field; re-read until two consecutive passes agree
-  // (bounded — under a write-heavy race the last pass is still field-
-  // atomic, only cross-field skew remains).
-  Stats before = load_all();
-  for (int i = 0; i < 3; ++i) {
-    const Stats after = load_all();
-    if (std::memcmp(&before, &after, sizeof(Stats)) == 0) return after;
-    before = after;
-  }
-  return before;
+  });
 }
 
 bool HvacClient::excluded_for_data(NodeId node) const {

@@ -27,6 +27,7 @@
 #include "cluster/pfs_guard.hpp"
 #include "cluster/pfs_store.hpp"
 #include "common/thread_pool.hpp"
+#include "obs/counter_list.hpp"
 #include "obs/flight_recorder.hpp"
 #include "placement/replication_policy.hpp"
 #include "rpc/message.hpp"
@@ -154,50 +155,57 @@ class HvacServer {
 
   [[nodiscard]] NodeId id() const { return id_; }
 
+  /// Counter list (see obs/counter_list.hpp): field, family, label.
+#define FTC_HVAC_SERVER_COUNTERS(X)                                         \
+  X(reads, "ftc_server_reads_total", "")                                    \
+  X(cache_hits, "ftc_server_cache_hits_total", "")                          \
+  X(cache_misses, "ftc_server_cache_misses_total", "")                      \
+  X(pfs_fetches, "ftc_server_pfs_fetches_total", "")                        \
+  X(recache_enqueued, "ftc_server_recache_enqueued_total", "")              \
+  X(recache_completed, "ftc_server_recache_completed_total", "")            \
+  /* kPut backups accepted */                                               \
+  X(replicas_stored, "ftc_server_replicas_stored_total", "")                \
+  /* Of the accepted backups: generation-stamped warm standbys (warm        \
+     failover extension; 0 with every legacy sender). */                    \
+  X(warm_replicas_stored, "ftc_server_warm_replicas_stored_total", "")      \
+  /* Stamped kPuts refused kCancelled because a fresher generation of the   \
+     same replica was already stored (replica freshness rule). */           \
+  X(stale_replica_puts, "ftc_server_stale_replica_puts_total", "")          \
+  /* Payload bytes of accepted warm standbys (freshness telemetry). */      \
+  X(warm_replica_bytes, "ftc_server_warm_replica_bytes_total", "")          \
+  /* Bytes of payload memcpy'd on the serve path.  Stays 0 on the           \
+     refcounted data path (hits share the cache entry's bytes; a miss       \
+     shares one buffer between response and recache task); kept so          \
+     bench_throughput can prove it and regressions show up as nonzero. */   \
+  X(payload_bytes_copied, "ftc_server_payload_bytes_copied_total", "")      \
+  /* Requests whose deadline had already passed on arrival: shed before     \
+     dispatch, never executed. */                                           \
+  X(expired_on_arrival, "ftc_server_expired_on_arrival_total", "")          \
+  /* kPeerGet requests received (prefetch pulls + p2p rescues).  Cache-only \
+     by contract: a peer-get can never cause a PFS fetch. */                \
+  X(peer_gets, "ftc_server_peer_gets_total", "")                            \
+  /* Of those, served from NVMe (the rest answered kNotFound). */           \
+  X(peer_get_hits, "ftc_server_peer_get_hits_total", "")                    \
+  /* Payload bytes shipped node-to-node over kPeerGet. */                   \
+  X(peer_get_bytes, "ftc_server_peer_get_bytes_total", "")                  \
+  /* Mutating RPCs refused kFencedEpoch because the sender's ring epoch     \
+     lagged ours (fencing.enabled only). */                                 \
+  X(fenced_writes, "ftc_server_fenced_writes_total", "")                    \
+  /* Stale-epoch mutating RPCs *accepted* because fencing is off: the       \
+     exposure the fence exists to close (0 with fencing on). */             \
+  X(stale_epoch_puts_accepted, "ftc_server_stale_epoch_puts_total", "")
+
   struct Stats {
-    std::uint64_t reads = 0;
-    std::uint64_t cache_hits = 0;
-    std::uint64_t cache_misses = 0;
-    std::uint64_t pfs_fetches = 0;
-    std::uint64_t recache_enqueued = 0;
-    std::uint64_t recache_completed = 0;
-    std::uint64_t replicas_stored = 0;  ///< kPut backups accepted
-    /// Of the accepted backups: generation-stamped warm standbys (warm
-    /// failover extension; 0 with every legacy sender).
-    std::uint64_t warm_replicas_stored = 0;
-    /// Stamped kPuts refused kCancelled because a fresher generation of
-    /// the same replica was already stored (replica freshness rule).
-    std::uint64_t stale_replica_puts = 0;
-    /// Payload bytes of accepted warm standbys (freshness telemetry).
-    std::uint64_t warm_replica_bytes = 0;
-    /// Bytes of payload memcpy'd on the serve path.  Stays 0 on the
-    /// refcounted data path (hits share the cache entry's bytes; a miss
-    /// shares one buffer between response and recache task); kept so
-    /// bench_throughput can prove it and regressions show up as nonzero.
-    std::uint64_t payload_bytes_copied = 0;
-    std::uint64_t evictions = 0;        ///< cache evictions to date
-    std::uint64_t used_bytes = 0;       ///< current cache occupancy
-    /// Requests whose deadline had already passed on arrival — shed
-    /// before dispatch, never executed.
-    std::uint64_t expired_on_arrival = 0;
+    FTC_COUNTER_FIELDS(FTC_HVAC_SERVER_COUNTERS, Stats)
+    // Not counters of this server: read from the store and the PFS guard
+    // when the snapshot is taken.
+    std::uint64_t evictions = 0;   ///< cache evictions to date
+    std::uint64_t used_bytes = 0;  ///< current cache occupancy
     /// Miss-path calls that shared another caller's in-flight PFS fetch
     /// (singleflight followers; 0 with the guard off).
     std::uint64_t pfs_coalesced = 0;
     /// Miss-path calls fast-rejected kBusy by the open PFS breaker.
     std::uint64_t pfs_breaker_open = 0;
-    /// kPeerGet requests received (prefetch pulls + p2p rescues).  Cache-
-    /// only by contract: a peer-get can never cause a PFS fetch.
-    std::uint64_t peer_gets = 0;
-    /// Of those, served from NVMe (the rest answered kNotFound).
-    std::uint64_t peer_get_hits = 0;
-    /// Payload bytes shipped node-to-node over kPeerGet.
-    std::uint64_t peer_get_bytes = 0;
-    /// Mutating RPCs refused kFencedEpoch because the sender's ring epoch
-    /// lagged ours (fencing.enabled only).
-    std::uint64_t fenced_writes = 0;
-    /// Stale-epoch mutating RPCs *accepted* because fencing is off —
-    /// the exposure the fence exists to close (0 with fencing on).
-    std::uint64_t stale_epoch_puts_accepted = 0;
   };
   /// Value snapshot of the lock-free counters plus cache occupancy.  As
   /// with HvacClient, there is deliberately no reference accessor —
@@ -272,25 +280,9 @@ class HvacServer {
   rpc::RpcResponse handle_read(const rpc::RpcRequest& request);
   void recache(const std::string& path, const common::Buffer& contents);
 
-  /// Lock-free counters (snapshotted by stats()).
-  struct AtomicStats {
-    std::atomic<std::uint64_t> reads{0};
-    std::atomic<std::uint64_t> cache_hits{0};
-    std::atomic<std::uint64_t> cache_misses{0};
-    std::atomic<std::uint64_t> pfs_fetches{0};
-    std::atomic<std::uint64_t> recache_enqueued{0};
-    std::atomic<std::uint64_t> recache_completed{0};
-    std::atomic<std::uint64_t> replicas_stored{0};
-    std::atomic<std::uint64_t> warm_replicas_stored{0};
-    std::atomic<std::uint64_t> stale_replica_puts{0};
-    std::atomic<std::uint64_t> warm_replica_bytes{0};
-    std::atomic<std::uint64_t> payload_bytes_copied{0};
-    std::atomic<std::uint64_t> expired_on_arrival{0};
-    std::atomic<std::uint64_t> peer_gets{0};
-    std::atomic<std::uint64_t> peer_get_hits{0};
-    std::atomic<std::uint64_t> peer_get_bytes{0};
-    std::atomic<std::uint64_t> fenced_writes{0};
-    std::atomic<std::uint64_t> stale_epoch_puts_accepted{0};
+  /// Lock-free counters (snapshotted by stats_snapshot()).
+  struct Counters {
+    FTC_COUNTER_MIRROR(FTC_HVAC_SERVER_COUNTERS, Stats)
   };
 
   NodeId id_;
@@ -304,7 +296,7 @@ class HvacServer {
   std::unique_ptr<ftc::store::StoreIface> cache_;
   /// Aliases cache_ when it is the tiered store; nullptr otherwise.
   ftc::store::TieredCacheStore* tiered_ = nullptr;
-  AtomicStats stats_;
+  Counters stats_;
   /// The recache enqueue's write-class decision, expressed through the
   /// same ReplicationPolicy vocabulary the client's replica pushes use
   /// (the async_data_mover knob feeds it at construction).

@@ -45,6 +45,7 @@
 #include "common/status.hpp"
 #include "common/thread_pool.hpp"
 #include "common/types.hpp"
+#include "obs/counter_list.hpp"
 #include "obs/flight_recorder.hpp"
 #include "rpc/message.hpp"
 
@@ -206,26 +207,29 @@ class Transport {
   /// nullptr detaches.  Untraced requests pay one null/flag check.
   void set_flight_recorder(NodeId node, obs::FlightRecorder* recorder);
 
-  /// Telemetry counters.
+  /// Telemetry counters (see obs/counter_list.hpp): field, family, label.
+#define FTC_TRANSPORT_COUNTERS(X)                                          \
+  X(received, "ftc_transport_received_total", "")                          \
+  /* Of `received`, requests on the data plane (everything except the SWIM \
+     verbs): lets benchmarks separate duplicated client work aimed at a    \
+     dead node from the bounded membership-protocol traffic. */            \
+  X(received_data, "ftc_transport_received_data_total", "")                \
+  X(handled, "ftc_transport_handled_total", "")                            \
+  X(dropped, "ftc_transport_dropped_total", "")                            \
+  /* Requests rejected with kBusy by admission control (counted in         \
+     `received` too; never includes membership-protocol traffic). */       \
+  X(requests_shed, "ftc_transport_requests_shed_total", "")                \
+  /* Requests dropped because their sender was in the endpoint's partition \
+     block set (counted in `dropped` too). */                              \
+  X(partition_dropped, "ftc_transport_partition_dropped_total", "")        \
+  /* Extra deliveries manufactured by the duplication fault (each also     \
+     counts in `received`/`received_data`). */                             \
+  X(duplicated, "ftc_transport_duplicated_total", "")                      \
+  /* Requests displaced out of FIFO order by the reordering fault. */      \
+  X(reordered, "ftc_transport_reordered_total", "")
+
   struct EndpointStats {
-    std::uint64_t received = 0;
-    /// Of `received`, requests on the data plane (everything except the
-    /// SWIM verbs) — lets benchmarks separate duplicated client work
-    /// aimed at a dead node from the bounded membership-protocol traffic.
-    std::uint64_t received_data = 0;
-    std::uint64_t handled = 0;
-    std::uint64_t dropped = 0;
-    /// Requests rejected with kBusy by admission control (counted in
-    /// `received` too; never includes membership-protocol traffic).
-    std::uint64_t requests_shed = 0;
-    /// Requests dropped because their sender was in the endpoint's
-    /// partition block set (counted in `dropped` too).
-    std::uint64_t partition_dropped = 0;
-    /// Extra deliveries manufactured by the duplication fault (each also
-    /// counts in `received`/`received_data`).
-    std::uint64_t duplicated = 0;
-    /// Requests displaced out of FIFO order by the reordering fault.
-    std::uint64_t reordered = 0;
+    FTC_COUNTER_FIELDS(FTC_TRANSPORT_COUNTERS, EndpointStats)
   };
   [[nodiscard]] EndpointStats stats(NodeId node) const;
 

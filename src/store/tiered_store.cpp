@@ -272,21 +272,10 @@ std::uint64_t TieredCacheStore::hit_count() const {
 
 StoreStats TieredCacheStore::stats_snapshot() const {
   StoreStats stats;
+  stats_.load_into(stats);
   stats.ram_used_bytes = ram_used_.load(std::memory_order_relaxed);
   stats.nvme_used_bytes = device_->used_bytes();
-  stats.hot_hits = stats_.hot_hits.load(std::memory_order_relaxed);
-  stats.cold_hits = stats_.cold_hits.load(std::memory_order_relaxed);
-  stats.misses = stats_.misses.load(std::memory_order_relaxed);
-  stats.demotions = stats_.demotions.load(std::memory_order_relaxed);
-  stats.promotions = stats_.promotions.load(std::memory_order_relaxed);
   stats.evictions = stats_.evictions.load(std::memory_order_relaxed);
-  stats.reclaim_runs = stats_.reclaim_runs.load(std::memory_order_relaxed);
-  stats.overflow_writes =
-      stats_.overflow_writes.load(std::memory_order_relaxed);
-  stats.manifest_restored =
-      stats_.manifest_restored.load(std::memory_order_relaxed);
-  stats.manifest_rejected_stale =
-      stats_.manifest_rejected_stale.load(std::memory_order_relaxed);
   return stats;
 }
 

@@ -187,17 +187,9 @@ class TieredCacheStore final : public StoreIface {
         config_.low_watermark * static_cast<double>(config_.nvme_bytes));
   }
 
-  struct AtomicStats {
-    std::atomic<std::uint64_t> hot_hits{0};
-    std::atomic<std::uint64_t> cold_hits{0};
-    std::atomic<std::uint64_t> misses{0};
-    std::atomic<std::uint64_t> demotions{0};
-    std::atomic<std::uint64_t> promotions{0};
+  struct Counters {
+    FTC_COUNTER_MIRROR(FTC_STORE_COUNTERS, StoreStats)
     std::atomic<std::uint64_t> evictions{0};
-    std::atomic<std::uint64_t> reclaim_runs{0};
-    std::atomic<std::uint64_t> overflow_writes{0};
-    std::atomic<std::uint64_t> manifest_restored{0};
-    std::atomic<std::uint64_t> manifest_rejected_stale{0};
   };
 
   StoreConfig config_;
@@ -212,7 +204,7 @@ class TieredCacheStore final : public StoreIface {
   mutable std::mutex cold_mutex_;
   std::unique_ptr<EvictionPolicy> cold_policy_;
 
-  AtomicStats stats_;
+  Counters stats_;
   std::atomic<std::size_t> demote_hand_{0};
 
   // Reclaim thread plumbing (background mode only).

@@ -183,6 +183,31 @@ TEST(HvacServer, StatsOpEmitsFullSnapshot) {
   EXPECT_EQ(kv.at("used_bytes"), 70u);  // /b (60) + /replica (10)
   EXPECT_EQ(kv.at("capacity_bytes"), 100u);
   EXPECT_EQ(kv.at("files"), 2u);
+
+  // Every Stats field has a key carrying its value: the listed counters
+  // under their field names (cache_hits/cache_misses keep the short keys
+  // checked above), then the hand-written fields.  The size check catches
+  // a field added to neither.
+  std::size_t fields = 0;
+  for (const auto& row : HvacServer::Stats::counter_rows()) {
+    std::string key = row.field;
+    if (key == "cache_hits") key = "hits";
+    if (key == "cache_misses") key = "misses";
+    ASSERT_EQ(kv.count(key), 1u) << key;
+    EXPECT_EQ(kv.at(key), s.*row.member) << key;
+    ++fields;
+  }
+  const std::map<std::string, std::uint64_t> hand_written = {
+      {"evictions", s.evictions},
+      {"used_bytes", s.used_bytes},
+      {"pfs_coalesced", s.pfs_coalesced},
+      {"pfs_breaker_open", s.pfs_breaker_open}};
+  for (const auto& [key, value] : hand_written) {
+    ASSERT_EQ(kv.count(key), 1u) << key;
+    EXPECT_EQ(kv.at(key), value) << key;
+    ++fields;
+  }
+  EXPECT_EQ(fields, sizeof(HvacServer::Stats) / sizeof(std::uint64_t));
 }
 
 TEST(HvacServer, CachedBytesTracked) {
