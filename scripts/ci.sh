@@ -20,6 +20,13 @@ cmake --build "${build_dir}" -j
 echo "=== tier-1 tests"
 ctest --test-dir "${build_dir}" -L tier1 --output-on-failure -j
 
+echo "=== benchmark selftest (perfbench --selftest)"
+# perfbench/ is a separate CMake project that compiles src/ itself and
+# reads Stats fields by name, so a rename that keeps tier-1 green can
+# still break the benchmark build.  The selftest builds it and checks
+# that every workload prints every metric BENCHMARK.json lists.
+python3 "${source_dir}/perfbench/run.py" --selftest
+
 echo "=== failover-storm smoke (bench_failstorm, reduced load)"
 # Few-second smoke: exercises deadlines, admission, retry budgets, and
 # the PFS singleflight end-to-end and enforces the duplicate-fetch

@@ -2,19 +2,17 @@
 //
 // One registry snapshots the whole cluster: components either own
 // first-class instruments (Counter / Gauge / Histogram, handed out by the
-// registry as stable references backed by relaxed atomics) or — for the
-// pre-existing stats structs (`EndpointStats`, `HvacClient::Stats`,
-// `PfsFetchGuard::Stats`, SWIM agent, `ShardedCacheStore`) — register a
-// *collector* callback that emits samples at export time from the same
-// counters the legacy `stats_snapshot()` accessors read.  The collector
-// pattern is what keeps migration free: the component's counters stay the
-// single source of truth, the legacy accessors stay byte-identical thin
-// views, and the hot path gains zero new writes.
+// registry as stable references backed by relaxed atomics) or register a
+// *collector* callback that emits samples at export time.  The cluster's
+// collector reads each component's `stats_snapshot()` and exports the
+// rows its counter list declares (obs/counter_list.hpp), so the
+// component's own counters stay the single source of truth and the hot
+// path gains zero new writes.
 //
 // Label cardinality rules (enforced): at most kMaxLabels labels per
 // series, and values are expected to come from small fixed sets (`node`,
-// `op`, `outcome`).  Never label by path/key — a per-file series turns
-// the registry into a second cache.
+// `op`, `outcome`, `tier`, `policy`).  Never label by path/key — a
+// per-file series turns the registry into a second cache.
 //
 // Export is deterministic: series sort by (name, labels), so golden tests
 // can compare full exporter output.
