@@ -52,6 +52,10 @@
 # demote-before-cold-write window — the tier-transition surface where a
 # torn byte-accounting update or a double-free of a demoted buffer would
 # surface.
+# hash_test is not about races: it runs the CRC-32 carry-less-multiply
+# fold over every length to 4 KiB at all 16 start offsets, so ASan+UBSan
+# see each unaligned 16-byte SIMD load and every sub-16-byte tail, and
+# TSan sees the once-per-process kernel pick.
 # Usage: scripts/sanitize.sh [thread|address] [build_dir]
 set -euo pipefail
 
@@ -71,7 +75,8 @@ cmake -B "${build_dir}" -S "${source_dir}" \
   -DFTC_BUILD_BENCH=OFF \
   -DFTC_BUILD_EXAMPLES=OFF > /dev/null
 cmake --build "${build_dir}" -j \
-  --target cluster_test rpc_test storage_test store_test membership_test obs_test
+  --target cluster_test rpc_test storage_test store_test membership_test obs_test \
+  hash_test
 
 # halt_on_error makes a single report fail the run loudly.
 export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1"
@@ -79,7 +84,8 @@ export ASAN_OPTIONS="halt_on_error=1 detect_leaks=1"
 export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1"
 
 status=0
-for test_bin in cluster_test rpc_test storage_test store_test membership_test obs_test; do
+for test_bin in cluster_test rpc_test storage_test store_test membership_test \
+    obs_test hash_test; do
   echo "=== ${sanitizer}-sanitizer: ${test_bin}"
   if ! "${build_dir}/tests/${test_bin}"; then
     status=1

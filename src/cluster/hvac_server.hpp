@@ -63,13 +63,15 @@ struct HvacServerConfig {
   /// Worker threads for the background recache pool (async mode only).
   std::size_t data_mover_threads = 1;
 
-  // --- Failover-storm hardening (every knob defaults to the legacy
-  // behaviour: no admission control, serial endpoint, no singleflight) ---
+  // --- Failover-storm hardening (admission control and singleflight
+  // default off; the endpoint runs two workers) ---
 
-  /// Transport worker threads for this node's endpoint.  1 = the seed's
-  /// serial endpoint; more lets concurrent requests actually contend,
-  /// which both the storm experiments and singleflight coalescing need.
-  std::size_t endpoint_workers = 1;
+  /// Transport worker threads for this node's endpoint.  With one (the
+  /// seed's serial endpoint) a node's cache hits queue behind its own
+  /// multi-millisecond PFS miss fetches; two let a hit be served while a
+  /// miss waits on the PFS.  More lets concurrent requests actually
+  /// contend, which the storm experiments and singleflight coalescing need.
+  std::size_t endpoint_workers = 2;
   /// Bound the endpoint's ingress queue (class-aware shedding in the
   /// transport: membership never shed, reads shed at the limit, recache
   /// writes at twice it).  Off = unbounded legacy queue.

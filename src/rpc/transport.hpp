@@ -66,9 +66,10 @@ class Transport {
   Transport& operator=(const Transport&) = delete;
 
   /// Registers a server endpoint; spawns `workers` worker threads
-  /// (default 1, the seed's serial endpoint — more lets concurrent
-  /// requests to one node actually contend, which the failover-storm
-  /// experiments need).  Registering an existing id replaces the handler
+  /// (default 1, a serial endpoint — more lets concurrent requests to one
+  /// node actually contend).  Cluster nodes register with
+  /// `HvacServerConfig::endpoint_workers`, which defaults to 2 so a hit
+  /// never waits behind the node's own PFS miss fetch.  Registering an existing id replaces the handler
   /// only if the old endpoint was unregistered first (returns
   /// kInvalidArgument otherwise).
   Status register_endpoint(NodeId node, Handler handler,
