@@ -129,7 +129,10 @@ void Cluster::boot_server(NodeId node) {
   transport_.register_endpoint(
       node,
       [raw](const rpc::RpcRequest& request) { return raw->handle(request); },
-      config_.server.endpoint_workers);
+      config_.server.endpoint_workers,
+      [raw](const rpc::RpcRequest& request) {
+        return raw->try_handle_inline(request);
+      });
   if (config_.server.admission_control) {
     transport_.set_admission(node, {config_.server.admission_queue_limit,
                                     config_.server.admission_retry_after_ms});
@@ -153,8 +156,9 @@ std::size_t Cluster::restart_node_warm(NodeId node) {
     restore_node(node, /*lose_cache=*/true);
     return 0;
   }
-  // Crash the incumbent: stop its endpoint workers, then destroy the
-  // server object.  RAM tier, counters and freshness ledger die with it;
+  // Crash the incumbent: stop its endpoint workers (unregister also waits
+  // out fast-path handlers on callers' threads), then destroy the server
+  // object.  RAM tier, counters and freshness ledger die with it;
   // devices_[node] — the NVMe volume and its manifest — survives.
   (void)transport_.unregister_endpoint(node);
   servers_[node].reset();

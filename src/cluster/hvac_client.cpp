@@ -408,6 +408,7 @@ void HvacClient::add_server(NodeId node) {
 
 Status HvacClient::ping(NodeId node) {
   drain_mailbox();
+  replay_deferred_warm();
   rpc::RpcRequest request;
   request.op = rpc::Op::kPing;
   request.client_node = self_;
@@ -555,13 +556,15 @@ void HvacClient::push_replicas(const std::string& path,
     } else {
       // A genuine (re-)placement.  Repairs get the tighter
       // restore_concurrency cap so a storm-wide re-target cannot
-      // monopolize the async pool; deferral leaves the marking stale so
-      // the next read of this file retries once the pool drains.
+      // monopolize the async pool; a deferred repair leaves the marking
+      // stale and waits in warm_retry_ until the in-flight puts drain
+      // (a deferred first placement retries on the file's next read).
       const std::uint32_t cap = warm_restore
                                     ? config_.replication.restore_concurrency
                                     : config_.replication.write_behind_depth;
       if (warm_inflight_->load(std::memory_order_relaxed) >= cap) {
         ++stats_.warm_deferred;
+        if (warm_restore) defer_warm_retarget(path, contents, primary);
       } else {
         if (warm_restore) {
           ++stats_.warm_invalidations;
@@ -613,6 +616,31 @@ void HvacClient::push_replicas(const std::string& path,
         static_cast<std::uint32_t>(warm_restore ? StatusCode::kUnavailable
                                                 : StatusCode::kOk),
         generation, path);
+  }
+}
+
+void HvacClient::defer_warm_retarget(const std::string& path,
+                                     const common::Buffer& contents,
+                                     NodeId primary) {
+  if (warm_retry_.size() >= kMaxDeferredRetargets) return;
+  const bool queued =
+      std::any_of(warm_retry_.begin(), warm_retry_.end(),
+                  [&path](const DeferredRetarget& d) { return d.path == path; });
+  if (!queued) warm_retry_.push_back({path, contents, primary});
+}
+
+void HvacClient::replay_deferred_warm() {
+  // Each replay either sends its put (raising the in-flight count) or,
+  // if its standby set no longer moves, adopts the generation; one pass
+  // over the entries present on entry bounds the loop either way.
+  for (std::size_t n = warm_retry_.size();
+       n > 0 && warm_inflight_->load(std::memory_order_relaxed) <
+                    config_.replication.restore_concurrency;
+       --n) {
+    const DeferredRetarget next = std::move(warm_retry_.front());
+    warm_retry_.pop_front();
+    push_replicas(next.path, next.contents, next.primary,
+                  /*cache_fill=*/false);
   }
 }
 
@@ -1541,6 +1569,7 @@ std::optional<StatusOr<common::Buffer>> HvacClient::hedged_attempt(
 StatusOr<common::Buffer> HvacClient::read_file(const std::string& path) {
   ++stats_.reads;
   drain_mailbox();
+  replay_deferred_warm();
   maybe_probe();
 
   // Sampling decision: every `sample_every`-th read gets a root span and

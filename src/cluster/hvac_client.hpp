@@ -508,6 +508,11 @@ class HvacClient {
   void push_replicas(const std::string& path, const common::Buffer& contents,
                      NodeId primary, bool cache_fill,
                      const placement::ReplicaPlan* extra = nullptr);
+  /// Queues a deferred standby re-target (see warm_retry_).
+  void defer_warm_retarget(const std::string& path,
+                           const common::Buffer& contents, NodeId primary);
+  /// Replays deferred re-targets while the restore cap has room.
+  void replay_deferred_warm();
   /// Executes one merged target: a synchronous kPut with legacy
   /// detector/stats bookkeeping, or an async one whose verdict arrives
   /// through the mailbox.
@@ -616,6 +621,19 @@ class HvacClient {
   /// queue: write_behind_depth for first placements, restore_concurrency
   /// for generation repairs.
   std::shared_ptr<std::atomic<std::uint32_t>> warm_inflight_;
+  /// Standby re-targets deferred at the restore_concurrency cap.  The
+  /// client's own thread replays them (top of read_file and ping) as the
+  /// in-flight puts complete, so a repair never waits for the file's next
+  /// read; completions never touch this queue.  Bounded: past the bound a
+  /// deferral waits for the next read, and the refcounted contents pin at
+  /// most that many payloads.
+  struct DeferredRetarget {
+    std::string path;
+    common::Buffer contents;
+    NodeId primary = kInvalidNode;
+  };
+  static constexpr std::size_t kMaxDeferredRetargets = 256;
+  std::deque<DeferredRetarget> warm_retry_;
   /// Heat sketch + promotion state; null unless hot_fanout is on.
   std::unique_ptr<HotFilePromoter> hot_files_;
   /// Promoted files whose replica fanout has not been pushed yet — the

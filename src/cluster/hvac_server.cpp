@@ -142,18 +142,54 @@ rpc::RpcResponse HvacServer::handle(const rpc::RpcRequest& request) {
   return dispatch(request);
 }
 
-rpc::RpcResponse HvacServer::dispatch(const rpc::RpcRequest& request) {
-  if (recorder_ != nullptr && request.trace.sampled) {
-    const obs::TraceContext ctx = request.trace.child();
-    const std::int64_t start = obs::now_ns();
-    rpc::RpcResponse response = dispatch_impl(request);
-    recorder_->record_span(obs::RecordKind::kServerHandle, ctx, id_, start,
-                           obs::now_ns(),
-                           static_cast<std::uint32_t>(response.code),
-                           response.payload.size(), request.path);
-    return response;
+std::optional<rpc::RpcResponse> HvacServer::try_handle_inline(
+    const rpc::RpcRequest& request) {
+  // An expired request is left to handle(), which sheds and counts it.
+  if (request.op != rpc::Op::kReadFile ||
+      rpc::deadline_expired(request.deadline_ns)) {
+    return std::nullopt;
   }
-  return dispatch_impl(request);
+  const bool traced = recorder_ != nullptr && request.trace.sampled;
+  const std::int64_t start = traced ? obs::now_ns() : 0;
+  std::optional<common::Buffer> hot = cache_->get_if_ram(request.path);
+  if (!hot) return std::nullopt;
+  // From here on, exactly what handle() does around a hit.
+  if (membership_ != nullptr) membership_->observe_request(request);
+  stats_.reads.fetch_add(1, std::memory_order_relaxed);
+  rpc::RpcResponse response = hit_response(std::move(*hot));
+  if (traced) record_handle_span(request, start, response);
+  if (membership_ != nullptr) membership_->stamp_response(request, response);
+  return response;
+}
+
+rpc::RpcResponse HvacServer::dispatch(const rpc::RpcRequest& request) {
+  if (recorder_ == nullptr || !request.trace.sampled) {
+    return dispatch_impl(request);
+  }
+  const std::int64_t start = obs::now_ns();
+  rpc::RpcResponse response = dispatch_impl(request);
+  record_handle_span(request, start, response);
+  return response;
+}
+
+void HvacServer::record_handle_span(const rpc::RpcRequest& request,
+                                    std::int64_t start,
+                                    const rpc::RpcResponse& response) {
+  recorder_->record_span(obs::RecordKind::kServerHandle, request.trace.child(),
+                         id_, start, obs::now_ns(),
+                         static_cast<std::uint32_t>(response.code),
+                         response.payload.size(), request.path);
+}
+
+rpc::RpcResponse HvacServer::hit_response(common::Buffer payload) {
+  stats_.cache_hits.fetch_add(1, std::memory_order_relaxed);
+  rpc::RpcResponse response;
+  response.code = StatusCode::kOk;
+  response.cache_hit = true;
+  // Zero-copy hit: the response references the cache entry's bytes.
+  response.payload = std::move(payload);
+  response.checksum = payload_crc(response.payload);
+  return response;
 }
 
 rpc::RpcResponse HvacServer::dispatch_impl(const rpc::RpcRequest& request) {
@@ -280,19 +316,11 @@ rpc::RpcResponse HvacServer::dispatch_impl(const rpc::RpcRequest& request) {
 }
 
 rpc::RpcResponse HvacServer::handle_read(const rpc::RpcRequest& request) {
-  rpc::RpcResponse response;
   stats_.reads.fetch_add(1, std::memory_order_relaxed);
   auto cached = cache_->get(request.path);
-  if (cached.is_ok()) {
-    stats_.cache_hits.fetch_add(1, std::memory_order_relaxed);
-    response.code = StatusCode::kOk;
-    response.cache_hit = true;
-    // Zero-copy hit: the response references the cache entry's bytes.
-    response.payload = std::move(cached).value();
-    response.checksum = payload_crc(response.payload);
-    return response;
-  }
+  if (cached.is_ok()) return hit_response(std::move(cached).value());
   stats_.cache_misses.fetch_add(1, std::memory_order_relaxed);
+  rpc::RpcResponse response;
 
   if (pfs_guard_) {
     // Storm-protected miss: coalesce concurrent fetches for this path,

@@ -8,6 +8,10 @@
 // new owner simply sees a miss for the lost file and the normal
 // fetch/serve/recache path restores it (one PFS access per lost file).
 //
+// A read whose bytes sit in RAM can also be answered on the caller's
+// thread (try_handle_inline, the transport's caller-runs fast path) with
+// exactly the counters, membership stamping and span handle() produces.
+//
 // Data path (zero-copy): payloads are ftc::common::Buffer — a cache hit
 // hands out a reference to the stored bytes (no memcpy, CRC memoized per
 // payload), and a miss shares one buffer between the RPC response and the
@@ -20,6 +24,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 
@@ -71,6 +76,8 @@ struct HvacServerConfig {
   /// multi-millisecond PFS miss fetches; two let a hit be served while a
   /// miss waits on the PFS.  More lets concurrent requests actually
   /// contend, which the storm experiments and singleflight coalescing need.
+  /// Also the cap on handlers running at once on the node, counting RAM
+  /// hits served on callers' threads by the transport's fast path.
   std::size_t endpoint_workers = 2;
   /// Bound the endpoint's ingress queue (class-aware shedding in the
   /// transport: membership never shed, reads shed at the limit, recache
@@ -135,6 +142,15 @@ class HvacServer {
   /// RPC dispatch; register with Transport as the node's handler.
   /// Thread-safe: may be called from many transport workers concurrently.
   rpc::RpcResponse handle(const rpc::RpcRequest& request);
+
+  /// The transport's caller-runs fast path (register it beside handle()).
+  /// Answers a kReadFile whose bytes sit in RAM exactly as handle() would:
+  /// the same counters, membership stamping and kServerHandle span.
+  /// Anything else — a miss, an NVMe-tier entry, an expired deadline,
+  /// any other op — returns nullopt having touched nothing, so the
+  /// queued handle() serves it.  Never blocks beyond a store shard lock.
+  std::optional<rpc::RpcResponse> try_handle_inline(
+      const rpc::RpcRequest& request);
 
   /// Attaches this node's membership agent (not owned; must outlive the
   /// server).  Once attached, handle() dispatches the SWIM verbs to it
@@ -280,6 +296,11 @@ class HvacServer {
   rpc::RpcResponse dispatch(const rpc::RpcRequest& request);
   rpc::RpcResponse dispatch_impl(const rpc::RpcRequest& request);
   rpc::RpcResponse handle_read(const rpc::RpcRequest& request);
+  /// A cache hit's response (counts the hit); shared by both paths.
+  rpc::RpcResponse hit_response(common::Buffer payload);
+  /// The kServerHandle span for a sampled request handled since `start`.
+  void record_handle_span(const rpc::RpcRequest& request, std::int64_t start,
+                          const rpc::RpcResponse& response);
   void recache(const std::string& path, const common::Buffer& contents);
 
   /// Lock-free counters (snapshotted by stats_snapshot()).

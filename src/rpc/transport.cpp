@@ -1,10 +1,18 @@
 #include "rpc/transport.hpp"
 
 #include <algorithm>
+#include <mutex>
+#include <shared_mutex>
 #include <utility>
 #include <vector>
 
 namespace ftc::rpc {
+
+namespace {
+double clamp_probability(double p) {
+  return p < 0.0 ? 0.0 : (p > 1.0 ? 1.0 : p);
+}
+}  // namespace
 
 Transport::~Transport() {
   // Async completions first: they may still be blocked inside call(), so
@@ -17,31 +25,50 @@ Transport::~Transport() {
     pool = std::move(async_pool_);
   }
   pool.reset();
-  // Stop every worker; promises for queued requests are broken, which the
-  // client side surfaces as kCancelled.
-  std::vector<std::unique_ptr<Endpoint>> doomed;
+  std::vector<std::shared_ptr<Endpoint>> doomed;
   {
-    std::lock_guard registry_lock(registry_mutex_);
+    std::unique_lock registry_lock(registry_mutex_);
     for (auto& [node, endpoint] : endpoints_) {
-      {
-        std::lock_guard lock(endpoint->mutex);
-        endpoint->stopping = true;
-      }
-      endpoint->cv.notify_all();
       doomed.push_back(std::move(endpoint));
     }
     endpoints_.clear();
   }
-  for (auto& endpoint : doomed) {
-    for (auto& worker : endpoint->workers) {
-      if (worker.joinable()) worker.join();
-    }
+  for (auto& endpoint : doomed) stop(*endpoint);
+}
+
+std::shared_ptr<Transport::Endpoint> Transport::find(NodeId node) const {
+  std::shared_lock registry_lock(registry_mutex_);
+  const auto it = endpoints_.find(node);
+  return it == endpoints_.end() ? nullptr : it->second;
+}
+
+template <typename Fn>
+void Transport::update(NodeId node, Fn&& fn) {
+  const std::shared_ptr<Endpoint> endpoint = find(node);
+  if (!endpoint) return;
+  std::lock_guard lock(endpoint->mutex);
+  fn(*endpoint);
+}
+
+void Transport::stop(Endpoint& endpoint) {
+  {
+    std::lock_guard lock(endpoint.mutex);
+    endpoint.stopping = true;
   }
+  endpoint.cv.notify_all();
+  for (auto& worker : endpoint.workers) {
+    if (worker.joinable()) worker.join();
+  }
+  // Fast-path handlers run on callers' threads, which the joins above do
+  // not cover; the handler's target may die as soon as this returns.
+  std::unique_lock lock(endpoint.mutex);
+  endpoint.fast_idle_cv.wait(lock,
+                             [&endpoint] { return endpoint.fast_running == 0; });
 }
 
 Status Transport::register_endpoint(NodeId node, Handler handler,
-                                    std::size_t workers) {
-  std::lock_guard registry_lock(registry_mutex_);
+                                    std::size_t workers, FastHandler fast) {
+  std::unique_lock registry_lock(registry_mutex_);
   if (endpoints_.contains(node)) {
     return Status::invalid_argument("endpoint already registered: " +
                                     std::to_string(node));
@@ -49,9 +76,11 @@ Status Transport::register_endpoint(NodeId node, Handler handler,
   if (workers == 0) {
     return Status::invalid_argument("endpoint needs at least one worker");
   }
-  auto endpoint = std::make_unique<Endpoint>();
+  auto endpoint = std::make_shared<Endpoint>();
   endpoint->node = node;
   endpoint->handler = std::move(handler);
+  endpoint->fast_handler = std::move(fast);
+  endpoint->slots = workers;
   Endpoint* raw = endpoint.get();
   endpoint->workers.reserve(workers);
   for (std::size_t i = 0; i < workers; ++i) {
@@ -62,9 +91,9 @@ Status Transport::register_endpoint(NodeId node, Handler handler,
 }
 
 Status Transport::unregister_endpoint(NodeId node) {
-  std::unique_ptr<Endpoint> endpoint;
+  std::shared_ptr<Endpoint> endpoint;
   {
-    std::lock_guard registry_lock(registry_mutex_);
+    std::unique_lock registry_lock(registry_mutex_);
     const auto it = endpoints_.find(node);
     if (it == endpoints_.end()) {
       return Status::not_found("no endpoint " + std::to_string(node));
@@ -72,114 +101,169 @@ Status Transport::unregister_endpoint(NodeId node) {
     endpoint = std::move(it->second);
     endpoints_.erase(it);
   }
-  {
-    std::lock_guard lock(endpoint->mutex);
-    endpoint->stopping = true;
-  }
-  endpoint->cv.notify_all();
-  for (auto& worker : endpoint->workers) {
-    if (worker.joinable()) worker.join();
-  }
+  stop(*endpoint);
   return Status::ok();
+}
+
+bool Transport::fast_path_open(const Endpoint& endpoint) {
+  return endpoint.fast_handler && endpoint.queue.empty() &&
+         endpoint.inflight < endpoint.slots && !endpoint.stopping &&
+         !endpoint.killed && endpoint.drops_remaining == 0 &&
+         endpoint.drop_probability == 0.0 &&
+         endpoint.extra_latency.count() == 0 &&
+         endpoint.duplicate_probability == 0.0 &&
+         endpoint.reorder_probability == 0.0;
+}
+
+std::shared_ptr<Transport::PendingCall> Transport::enqueue(
+    Endpoint& endpoint, RpcRequest request, std::future<RpcResponse>& future) {
+  auto call = std::make_shared<PendingCall>();
+  call->request = std::move(request);
+  future = call->promise.get_future();
+  if (endpoint.recorder != nullptr && call->request.trace.sampled) {
+    call->enqueue_ns = obs::now_ns();
+  }
+  endpoint.queue.push_back(call);
+  // Duplication fault: enqueue a second, untraced delivery of the same
+  // request.  Its promise has no future attached — the server handles it
+  // and the response evaporates, which is exactly what a fabric-level
+  // re-send looks like to an application.
+  if (endpoint.duplicate_probability > 0.0 &&
+      endpoint.duplicate_rng.chance(endpoint.duplicate_probability)) {
+    auto clone = std::make_shared<PendingCall>();
+    clone->request = call->request;
+    endpoint.queue.push_back(std::move(clone));
+    ++endpoint.stats.received;
+    if (!is_membership_op(call->request.op)) ++endpoint.stats.received_data;
+    ++endpoint.stats.duplicated;
+  }
+  // Reordering fault: let this arrival overtake up to reorder_depth queued
+  // requests (bounded, seeded — deterministic per sequence).
+  if (endpoint.reorder_probability > 0.0 && endpoint.queue.size() > 1 &&
+      endpoint.reorder_rng.chance(endpoint.reorder_probability)) {
+    const std::size_t depth = std::min<std::size_t>(
+        1 + endpoint.reorder_rng.below(
+                std::max<std::uint32_t>(1, endpoint.reorder_depth)),
+        endpoint.queue.size() - 1);
+    auto moved = std::move(endpoint.queue.back());
+    endpoint.queue.pop_back();
+    endpoint.queue.insert(endpoint.queue.end() - depth, std::move(moved));
+    ++endpoint.stats.reordered;
+  }
+  return call;
 }
 
 StatusOr<RpcResponse> Transport::call(NodeId target, RpcRequest request,
                                       std::chrono::milliseconds timeout) {
-  auto call = std::make_shared<PendingCall>();
-  call->request = std::move(request);
-  std::future<RpcResponse> future = call->promise.get_future();
+  std::shared_ptr<Endpoint> endpoint = find(target);
+  if (!endpoint) {
+    return Status::unavailable("no endpoint " + std::to_string(target));
+  }
+  // The caller co-owns its queued call: a request the endpoint discards
+  // (killed, dropped) must leave the promise pending so the caller times
+  // out, never a broken promise read as a fast answer.
+  std::shared_ptr<PendingCall> pending;
+  std::future<RpcResponse> future;
+  std::int64_t arrival_ns = 0;
+  bool fast = false;
   {
-    std::lock_guard registry_lock(registry_mutex_);
-    const auto it = endpoints_.find(target);
-    if (it == endpoints_.end()) {
+    std::lock_guard lock(endpoint->mutex);
+    if (endpoint->stopping) {
       return Status::unavailable("no endpoint " + std::to_string(target));
     }
-    Endpoint& endpoint = *it->second;
-    {
-      std::lock_guard lock(endpoint.mutex);
-      ++endpoint.stats.received;
-      if (!is_membership_op(call->request.op)) ++endpoint.stats.received_data;
-      // Partition fault: a blocked sender's request dies on the wire — no
-      // admission verdict, no response, the caller times out exactly as if
-      // the link were cut.  Checked before admission so a severed link can
-      // never be mistaken for a fast, live kBusy answer.
-      const bool link_cut =
-          !endpoint.blocked_senders.empty() &&
-          endpoint.blocked_senders.contains(call->request.client_node);
-      if (link_cut) {
-        ++endpoint.stats.dropped;
-        ++endpoint.stats.partition_dropped;
-      } else {
-        // Admission control: shed at enqueue so a rejection is a fast kBusy
-        // answer, not a queue wait.  Membership traffic is never shed, and a
-        // killed endpoint never sheds (a dead node cannot answer — a fast
-        // rejection would read as liveness and break timeout detection).
-        const std::size_t limit = endpoint.admission.queue_limit;
-        if (limit > 0 && !endpoint.killed &&
-            !is_membership_op(call->request.op)) {
-          const std::size_t bound =
-              call->request.op == Op::kPut ? limit * 2 : limit;
-          if (endpoint.queue.size() >= bound) {
-            ++endpoint.stats.requests_shed;
-            if (endpoint.recorder != nullptr && call->request.trace.sampled) {
-              endpoint.recorder->record_event(
-                  obs::RecordKind::kServerShed, call->request.trace.child(),
-                  endpoint.node, static_cast<std::uint32_t>(StatusCode::kBusy),
-                  endpoint.queue.size(), "admission");
-            }
-            RpcResponse busy;
-            busy.code = StatusCode::kBusy;
-            const auto backlog =
-                static_cast<std::uint32_t>(endpoint.queue.size() - bound + 1);
-            busy.retry_after_ms =
-                endpoint.admission.retry_after_base_ms * backlog;
-            // A shed IS load evidence — the one response an overloaded node
-            // is guaranteed to send quickly, so it carries the hint too.
-            if (endpoint.load_report.enabled) {
-              busy.load_hint = encode_load_hint(endpoint.load_ewma);
-            }
-            return busy;
+    ++endpoint->stats.received;
+    if (!is_membership_op(request.op)) ++endpoint->stats.received_data;
+    // Partition fault: a blocked sender's request dies on the wire — no
+    // admission verdict, no response, the caller times out exactly as if
+    // the link were cut.  Checked before admission so a severed link can
+    // never be mistaken for a fast, live kBusy answer.
+    const bool link_cut =
+        !endpoint->blocked_senders.empty() &&
+        endpoint->blocked_senders.contains(request.client_node);
+    if (link_cut) {
+      ++endpoint->stats.dropped;
+      ++endpoint->stats.partition_dropped;
+    } else {
+      // Admission control: shed at enqueue so a rejection is a fast kBusy
+      // answer, not a queue wait.  Membership traffic is never shed, and a
+      // killed endpoint never sheds (a dead node cannot answer — a fast
+      // rejection would read as liveness and break timeout detection).
+      const std::size_t limit = endpoint->admission.queue_limit;
+      if (limit > 0 && !endpoint->killed && !is_membership_op(request.op)) {
+        const std::size_t bound =
+            request.op == Op::kPut ? limit * 2 : limit;
+        if (endpoint->queue.size() >= bound) {
+          ++endpoint->stats.requests_shed;
+          if (endpoint->recorder != nullptr && request.trace.sampled) {
+            endpoint->recorder->record_event(
+                obs::RecordKind::kServerShed, request.trace.child(),
+                endpoint->node, static_cast<std::uint32_t>(StatusCode::kBusy),
+                endpoint->queue.size(), "admission");
           }
-        }
-        if (endpoint.recorder != nullptr && call->request.trace.sampled) {
-          call->enqueue_ns = obs::now_ns();
-        }
-        endpoint.queue.push_back(call);
-        // Duplication fault: enqueue a second, untraced delivery of the
-        // same request.  Its promise has no future attached — the server
-        // handles it and the response evaporates, which is exactly what a
-        // fabric-level re-send looks like to an application.
-        if (endpoint.duplicate_probability > 0.0 &&
-            endpoint.duplicate_rng.chance(endpoint.duplicate_probability)) {
-          auto clone = std::make_shared<PendingCall>();
-          clone->request = call->request;
-          endpoint.queue.push_back(std::move(clone));
-          ++endpoint.stats.received;
-          if (!is_membership_op(call->request.op)) {
-            ++endpoint.stats.received_data;
+          RpcResponse busy;
+          busy.code = StatusCode::kBusy;
+          const auto backlog =
+              static_cast<std::uint32_t>(endpoint->queue.size() - bound + 1);
+          busy.retry_after_ms =
+              endpoint->admission.retry_after_base_ms * backlog;
+          // A shed IS load evidence — the one response an overloaded node
+          // is guaranteed to send quickly, so it carries the hint too.
+          if (endpoint->load_report.enabled) {
+            busy.load_hint = encode_load_hint(endpoint->load_ewma);
           }
-          ++endpoint.stats.duplicated;
-        }
-        // Reordering fault: let this arrival overtake up to reorder_depth
-        // queued requests (bounded, seeded — deterministic per sequence).
-        if (endpoint.reorder_probability > 0.0 && endpoint.queue.size() > 1 &&
-            endpoint.reorder_rng.chance(endpoint.reorder_probability)) {
-          const std::size_t depth = std::min<std::size_t>(
-              1 + endpoint.reorder_rng.below(
-                      std::max<std::uint32_t>(1, endpoint.reorder_depth)),
-              endpoint.queue.size() - 1);
-          auto moved = std::move(endpoint.queue.back());
-          endpoint.queue.pop_back();
-          endpoint.queue.insert(endpoint.queue.end() - depth,
-                                std::move(moved));
-          ++endpoint.stats.reordered;
+          return busy;
         }
       }
+      if (fast_path_open(*endpoint)) {
+        // Claim a handler slot so workers cannot oversubscribe the
+        // endpoint while the fast handler runs on this thread.
+        fast = true;
+        ++endpoint->inflight;
+        ++endpoint->fast_running;
+        if (endpoint->recorder != nullptr && request.trace.sampled) {
+          arrival_ns = obs::now_ns();
+        }
+      } else {
+        pending = enqueue(*endpoint, std::move(request), future);
+      }
     }
-    endpoint.cv.notify_one();
   }
-  // The shared_ptr keeps the pending call alive even if we time out and the
-  // worker later fulfills the promise into the void.
+  if (pending) endpoint->cv.notify_one();
+  if (fast) {
+    // No transport lock is held while the handler runs.
+    std::optional<RpcResponse> response = endpoint->fast_handler(request);
+    bool wake_worker = false;
+    bool fast_idle = false;
+    {
+      std::lock_guard lock(endpoint->mutex);
+      if (response) {
+        on_pickup(*endpoint, request, arrival_ns, arrival_ns);
+        on_complete(*endpoint, *response);
+        ++endpoint->stats.inline_handled;
+      } else {
+        --endpoint->inflight;
+        // The fast path declined (a miss, or not its op): queue it as if
+        // the fast path did not exist, unless shutdown began meanwhile.
+        if (!endpoint->stopping) {
+          pending = enqueue(*endpoint, std::move(request), future);
+        }
+      }
+      --endpoint->fast_running;
+      // The released slot (or the fallback) may be what a worker awaits.
+      wake_worker = !endpoint->queue.empty();
+      fast_idle = endpoint->fast_running == 0;
+    }
+    if (wake_worker) endpoint->cv.notify_one();
+    if (fast_idle) endpoint->fast_idle_cv.notify_all();
+    if (response) return std::move(*response);
+    if (!future.valid()) return Status::cancelled("endpoint shut down");
+  }
+  endpoint.reset();
+  // A cut link leaves no future: the request died on the wire.
+  if (!future.valid()) {
+    std::this_thread::sleep_for(timeout);
+    return Status::timeout("rpc to node " + std::to_string(target));
+  }
   switch (future.wait_for(timeout)) {
     case std::future_status::ready:
       break;
@@ -232,147 +316,155 @@ std::size_t Transport::async_pool_thread_count() const {
 }
 
 void Transport::kill(NodeId node) {
-  std::lock_guard registry_lock(registry_mutex_);
-  const auto it = endpoints_.find(node);
-  if (it == endpoints_.end()) return;
-  {
-    std::lock_guard lock(it->second->mutex);
-    it->second->killed = true;
-  }
-  it->second->cv.notify_all();
+  update(node, [](Endpoint& endpoint) {
+    endpoint.killed = true;
+    endpoint.cv.notify_all();
+  });
 }
 
 void Transport::revive(NodeId node) {
-  std::lock_guard registry_lock(registry_mutex_);
-  const auto it = endpoints_.find(node);
-  if (it == endpoints_.end()) return;
-  {
-    std::lock_guard lock(it->second->mutex);
-    it->second->killed = false;
-  }
-  it->second->cv.notify_all();
+  update(node, [](Endpoint& endpoint) {
+    endpoint.killed = false;
+    endpoint.cv.notify_all();
+  });
 }
 
 bool Transport::is_killed(NodeId node) const {
-  std::lock_guard registry_lock(registry_mutex_);
-  const auto it = endpoints_.find(node);
-  if (it == endpoints_.end()) return false;
-  std::lock_guard lock(it->second->mutex);
-  return it->second->killed;
+  const std::shared_ptr<Endpoint> endpoint = find(node);
+  if (!endpoint) return false;
+  std::lock_guard lock(endpoint->mutex);
+  return endpoint->killed;
 }
 
 void Transport::set_extra_latency(NodeId node,
                                   std::chrono::milliseconds latency) {
-  std::lock_guard registry_lock(registry_mutex_);
-  const auto it = endpoints_.find(node);
-  if (it == endpoints_.end()) return;
-  std::lock_guard lock(it->second->mutex);
-  it->second->extra_latency = latency;
+  update(node, [latency](Endpoint& endpoint) {
+    endpoint.extra_latency = latency;
+  });
 }
 
 void Transport::drop_next(NodeId node, std::uint32_t count) {
-  std::lock_guard registry_lock(registry_mutex_);
-  const auto it = endpoints_.find(node);
-  if (it == endpoints_.end()) return;
-  std::lock_guard lock(it->second->mutex);
-  it->second->drops_remaining += count;
+  update(node,
+         [count](Endpoint& endpoint) { endpoint.drops_remaining += count; });
 }
 
 void Transport::set_drop_probability(NodeId node, double p,
                                      std::uint64_t seed) {
-  std::lock_guard registry_lock(registry_mutex_);
-  const auto it = endpoints_.find(node);
-  if (it == endpoints_.end()) return;
-  std::lock_guard lock(it->second->mutex);
-  it->second->drop_probability = p < 0.0 ? 0.0 : (p > 1.0 ? 1.0 : p);
-  it->second->drop_rng.reseed(seed);
+  update(node, [p, seed](Endpoint& endpoint) {
+    endpoint.drop_probability = clamp_probability(p);
+    endpoint.drop_rng.reseed(seed);
+  });
 }
 
 void Transport::corrupt_next(NodeId node, std::uint32_t count) {
-  std::lock_guard registry_lock(registry_mutex_);
-  const auto it = endpoints_.find(node);
-  if (it == endpoints_.end()) return;
-  std::lock_guard lock(it->second->mutex);
-  it->second->corruptions_remaining += count;
+  update(node, [count](Endpoint& endpoint) {
+    endpoint.corruptions_remaining += count;
+  });
 }
 
 void Transport::set_blocked_senders(NodeId node,
                                     std::vector<NodeId> senders) {
-  std::lock_guard registry_lock(registry_mutex_);
-  const auto it = endpoints_.find(node);
-  if (it == endpoints_.end()) return;
-  std::lock_guard lock(it->second->mutex);
-  it->second->blocked_senders.clear();
-  it->second->blocked_senders.insert(senders.begin(), senders.end());
+  update(node, [&senders](Endpoint& endpoint) {
+    endpoint.blocked_senders.clear();
+    endpoint.blocked_senders.insert(senders.begin(), senders.end());
+  });
 }
 
 bool Transport::is_sender_blocked(NodeId node, NodeId sender) const {
-  std::lock_guard registry_lock(registry_mutex_);
-  const auto it = endpoints_.find(node);
-  if (it == endpoints_.end()) return false;
-  std::lock_guard lock(it->second->mutex);
-  return it->second->blocked_senders.contains(sender);
+  const std::shared_ptr<Endpoint> endpoint = find(node);
+  if (!endpoint) return false;
+  std::lock_guard lock(endpoint->mutex);
+  return endpoint->blocked_senders.contains(sender);
 }
 
 void Transport::set_duplicate_probability(NodeId node, double p,
                                           std::uint64_t seed) {
-  std::lock_guard registry_lock(registry_mutex_);
-  const auto it = endpoints_.find(node);
-  if (it == endpoints_.end()) return;
-  std::lock_guard lock(it->second->mutex);
-  it->second->duplicate_probability = p < 0.0 ? 0.0 : (p > 1.0 ? 1.0 : p);
-  it->second->duplicate_rng.reseed(seed);
+  update(node, [p, seed](Endpoint& endpoint) {
+    endpoint.duplicate_probability = clamp_probability(p);
+    endpoint.duplicate_rng.reseed(seed);
+  });
 }
 
 void Transport::set_reorder(NodeId node, double p,
                             std::uint32_t max_displacement,
                             std::uint64_t seed) {
-  std::lock_guard registry_lock(registry_mutex_);
-  const auto it = endpoints_.find(node);
-  if (it == endpoints_.end()) return;
-  std::lock_guard lock(it->second->mutex);
-  it->second->reorder_probability = p < 0.0 ? 0.0 : (p > 1.0 ? 1.0 : p);
-  it->second->reorder_depth = max_displacement == 0 ? 1 : max_displacement;
-  it->second->reorder_rng.reseed(seed);
+  update(node, [p, max_displacement, seed](Endpoint& endpoint) {
+    endpoint.reorder_probability = clamp_probability(p);
+    endpoint.reorder_depth = max_displacement == 0 ? 1 : max_displacement;
+    endpoint.reorder_rng.reseed(seed);
+  });
 }
 
 void Transport::set_admission(NodeId node, AdmissionConfig config) {
-  std::lock_guard registry_lock(registry_mutex_);
-  const auto it = endpoints_.find(node);
-  if (it == endpoints_.end()) return;
-  std::lock_guard lock(it->second->mutex);
-  it->second->admission = config;
+  update(node, [config](Endpoint& endpoint) { endpoint.admission = config; });
 }
 
 void Transport::set_load_reporting(NodeId node, LoadReportConfig config) {
-  std::lock_guard registry_lock(registry_mutex_);
-  const auto it = endpoints_.find(node);
-  if (it == endpoints_.end()) return;
-  std::lock_guard lock(it->second->mutex);
   if (config.alpha <= 0.0 || config.alpha > 1.0) config.alpha = 0.2;
-  it->second->load_report = config;
+  update(node,
+         [config](Endpoint& endpoint) { endpoint.load_report = config; });
 }
 
 void Transport::set_flight_recorder(NodeId node,
                                     obs::FlightRecorder* recorder) {
-  std::lock_guard registry_lock(registry_mutex_);
-  const auto it = endpoints_.find(node);
-  if (it == endpoints_.end()) return;
-  std::lock_guard lock(it->second->mutex);
-  it->second->recorder = recorder;
+  update(node, [recorder](Endpoint& endpoint) { endpoint.recorder = recorder; });
 }
 
 Transport::EndpointStats Transport::stats(NodeId node) const {
-  std::lock_guard registry_lock(registry_mutex_);
-  const auto it = endpoints_.find(node);
-  if (it == endpoints_.end()) return {};
-  std::lock_guard lock(it->second->mutex);
-  return it->second->stats;
+  const std::shared_ptr<Endpoint> endpoint = find(node);
+  if (!endpoint) return {};
+  std::lock_guard lock(endpoint->mutex);
+  return endpoint->stats;
 }
 
 std::size_t Transport::endpoint_count() const {
-  std::lock_guard registry_lock(registry_mutex_);
+  std::shared_lock registry_lock(registry_mutex_);
   return endpoints_.size();
+}
+
+void Transport::on_pickup(Endpoint& endpoint, const RpcRequest& request,
+                          std::int64_t enqueue_ns, std::int64_t pickup_ns) {
+  // Load sample at pickup: requests still queued plus handlers already
+  // executing, this one included.  Folding it here (not at enqueue) means
+  // a backlog that drains slowly keeps reporting high load for as long as
+  // it exists, which is what the spill decision needs.
+  if (endpoint.load_report.enabled) {
+    const auto raw =
+        static_cast<double>(endpoint.queue.size() + endpoint.inflight);
+    endpoint.load_ewma += endpoint.load_report.alpha * (raw - endpoint.load_ewma);
+  }
+  // Queue-phase span: admission (enqueue) to pickup.  Recorded under the
+  // endpoint mutex like the counters; the recorder itself is wait-free so
+  // this adds no blocking.
+  if (endpoint.recorder != nullptr && enqueue_ns != 0) {
+    endpoint.recorder->record_span(
+        obs::RecordKind::kServerQueue, request.trace.child(), endpoint.node,
+        enqueue_ns, pickup_ns, static_cast<std::uint32_t>(StatusCode::kOk),
+        endpoint.queue.size(), "queue");
+  }
+}
+
+void Transport::on_complete(Endpoint& endpoint, RpcResponse& response) {
+  if (endpoint.corruptions_remaining > 0 && !response.payload.empty()) {
+    --endpoint.corruptions_remaining;
+    // Post-checksum bit-flip on the wire.  Payload bytes are shared and
+    // immutable, so the corrupted copy must be a fresh buffer — the
+    // server's cached bytes stay intact, exactly like real wire
+    // corruption.
+    std::string corrupted = response.payload.to_string();
+    corrupted[0] ^= 0x01;
+    response.payload = common::Buffer(std::move(corrupted));
+  }
+  // Counted before the caller sees the response: a caller that observes
+  // the response must also observe it in the stats.
+  ++endpoint.stats.handled;
+  --endpoint.inflight;
+  // Piggyback the smoothed load estimate.  Stamped at the transport layer
+  // (not in the handler) so every op — reads, puts, pings, SWIM — carries
+  // the same signal without the server knowing.
+  if (endpoint.load_report.enabled) {
+    response.load_hint = encode_load_hint(endpoint.load_ewma);
+  }
 }
 
 void Transport::worker_loop(Endpoint& endpoint) {
@@ -381,8 +473,11 @@ void Transport::worker_loop(Endpoint& endpoint) {
     std::chrono::milliseconds latency{0};
     {
       std::unique_lock lock(endpoint.mutex);
+      // A queued request waits for a free slot too: fast-path calls hold
+      // slots, and at most `slots` handlers may run at once.
       endpoint.cv.wait(lock, [&endpoint] {
-        return endpoint.stopping || !endpoint.queue.empty();
+        return endpoint.stopping ||
+               (!endpoint.queue.empty() && endpoint.inflight < endpoint.slots);
       });
       if (endpoint.stopping) return;
       call = std::move(endpoint.queue.front());
@@ -404,27 +499,9 @@ void Transport::worker_loop(Endpoint& endpoint) {
         continue;
       }
       latency = endpoint.extra_latency;
-      // Load sample at pickup: requests still queued plus handlers already
-      // executing, this one included.  Folding it here (not at enqueue)
-      // means a backlog that drains slowly keeps reporting high load for
-      // as long as it exists, which is what the spill decision needs.
       ++endpoint.inflight;
-      if (endpoint.load_report.enabled) {
-        const auto raw =
-            static_cast<double>(endpoint.queue.size() + endpoint.inflight);
-        endpoint.load_ewma += endpoint.load_report.alpha *
-                              (raw - endpoint.load_ewma);
-      }
-      // Queue-phase span: admission (enqueue) to worker pickup.  Recorded
-      // under the endpoint mutex like the counters; the recorder itself is
-      // wait-free so this adds no blocking.
-      if (endpoint.recorder != nullptr && call->enqueue_ns != 0) {
-        endpoint.recorder->record_span(
-            obs::RecordKind::kServerQueue, call->request.trace.child(),
-            endpoint.node, call->enqueue_ns, obs::now_ns(),
-            static_cast<std::uint32_t>(StatusCode::kOk), endpoint.queue.size(),
-            "queue");
-      }
+      on_pickup(endpoint, call->request, call->enqueue_ns,
+                call->enqueue_ns != 0 ? obs::now_ns() : 0);
     }
     if (latency.count() > 0) std::this_thread::sleep_for(latency);
     // Handler runs outside the endpoint lock so slow service does not block
@@ -432,26 +509,7 @@ void Transport::worker_loop(Endpoint& endpoint) {
     RpcResponse response = endpoint.handler(call->request);
     {
       std::lock_guard lock(endpoint.mutex);
-      if (endpoint.corruptions_remaining > 0 && !response.payload.empty()) {
-        --endpoint.corruptions_remaining;
-        // Post-checksum bit-flip on the wire.  Payload bytes are shared
-        // and immutable, so the corrupted copy must be a fresh buffer —
-        // the server's cached bytes stay intact, exactly like real wire
-        // corruption.
-        std::string corrupted = response.payload.to_string();
-        corrupted[0] ^= 0x01;
-        response.payload = common::Buffer(std::move(corrupted));
-      }
-      // Count BEFORE resolving the promise: a caller that observes the
-      // response must also observe it in the stats.
-      ++endpoint.stats.handled;
-      --endpoint.inflight;
-      // Piggyback the smoothed load estimate.  Stamped at the transport
-      // layer (not in the handler) so every op — reads, puts, pings,
-      // SWIM — carries the same signal without the server knowing.
-      if (endpoint.load_report.enabled) {
-        response.load_hint = encode_load_hint(endpoint.load_ewma);
-      }
+      on_complete(endpoint, response);
     }
     call->promise.set_value(std::move(response));
   }

@@ -1,8 +1,13 @@
 // transport.hpp - In-process threaded RPC transport with fault injection.
 //
-// Substitute for Mercury-over-Slingshot: each registered endpoint runs a
-// worker thread consuming a FIFO request queue; clients block on a future
-// with a deadline.  Faults are injected at this layer:
+// Substitute for Mercury-over-Slingshot: each registered endpoint owns a
+// FIFO request queue served by `workers` threads; a queued caller blocks
+// on a future with a deadline.  An endpoint may also register a
+// caller-runs fast path: while the endpoint is idle (empty queue, a free
+// worker slot) and no fault is configured, a request the fast path can
+// answer without blocking (the server's RAM hits) runs on the caller's
+// thread and skips both thread hand-offs.  Everything else takes the
+// queue.  Faults are injected at this layer and force the queued path:
 //   - kill():  endpoint silently discards requests (crash-stop node — the
 //              client sees only timeouts, exactly like a drained Frontier
 //              node); revive() undoes it (a drained node handed back to
@@ -36,6 +41,8 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <shared_mutex>
 #include <thread>
 #include <unordered_map>
 #include <unordered_set>
@@ -58,6 +65,11 @@ using Clock = std::chrono::steady_clock;
 class Transport {
  public:
   using Handler = std::function<RpcResponse(const RpcRequest&)>;
+  /// Caller-runs fast path: returns a response only when it can answer
+  /// without blocking; otherwise nullopt, with no side effects, and the
+  /// request is queued for the workers exactly as without a fast path.
+  using FastHandler =
+      std::function<std::optional<RpcResponse>(const RpcRequest&)>;
 
   Transport() = default;
   ~Transport();
@@ -69,14 +81,24 @@ class Transport {
   /// (default 1, a serial endpoint — more lets concurrent requests to one
   /// node actually contend).  Cluster nodes register with
   /// `HvacServerConfig::endpoint_workers`, which defaults to 2 so a hit
-  /// never waits behind the node's own PFS miss fetch.  Registering an existing id replaces the handler
-  /// only if the old endpoint was unregistered first (returns
-  /// kInvalidArgument otherwise).
+  /// never waits behind the node's own PFS miss fetch.  Registering an
+  /// existing id replaces the handler only if the old endpoint was
+  /// unregistered first (returns kInvalidArgument otherwise).
+  ///
+  /// `fast` (optional) is tried on the calling thread when the endpoint is
+  /// idle — empty queue, fewer than `workers` handlers running — and
+  /// un-faulted: not killed, no drops pending, and zero drop probability,
+  /// extra latency, duplication and reordering.  Partition and admission
+  /// verdicts come first, unchanged.  A fast-path call holds one of the
+  /// `workers` slots, so at most `workers` handlers (queued or fast) ever
+  /// run at once; its completion (corruption fault, counters, load hint)
+  /// is the worker's.
   Status register_endpoint(NodeId node, Handler handler,
-                           std::size_t workers = 1);
+                           std::size_t workers = 1, FastHandler fast = {});
 
-  /// Stops and joins an endpoint's worker.  Outstanding requests fail with
-  /// kCancelled.
+  /// Stops and joins an endpoint's workers and waits for its in-flight
+  /// fast-path handlers, so the handlers' target may be destroyed as soon
+  /// as this returns.  Calls still waiting on a queued request time out.
   Status unregister_endpoint(NodeId node);
 
   /// Blocking call with deadline.  Timeout produces StatusCode::kTimeout;
@@ -113,7 +135,7 @@ class Transport {
   [[nodiscard]] std::size_t async_pool_thread_count() const;
 
   /// Crash-stop fault: the endpoint stays registered but discards every
-  /// request without replying.  Lasts until revive() (never called in the
+  /// request without replying (never a fast-path answer).  Lasts until revive() (never called in the
   /// paper's model — a drained node does not come back within a job).
   void kill(NodeId node);
 
@@ -204,7 +226,8 @@ class Transport {
   /// Attaches the node's flight recorder (not owned; must outlive the
   /// endpoint).  Once attached, *sampled* requests get their server-side
   /// admission verdicts recorded: a kServerQueue span from enqueue to
-  /// worker pickup, and a kServerShed event when admission rejects.
+  /// worker pickup (zero-length when the fast path served the request),
+  /// and a kServerShed event when admission rejects.
   /// nullptr detaches.  Untraced requests pay one null/flag check.
   void set_flight_recorder(NodeId node, obs::FlightRecorder* recorder);
 
@@ -227,7 +250,10 @@ class Transport {
      counts in `received`/`received_data`). */                             \
   X(duplicated, "ftc_transport_duplicated_total", "")                      \
   /* Requests displaced out of FIFO order by the reordering fault. */      \
-  X(reordered, "ftc_transport_reordered_total", "")
+  X(reordered, "ftc_transport_reordered_total", "")                        \
+  /* Of `handled`, requests answered by the fast path on the caller's      \
+     thread (no queue, no worker wake-up). */                              \
+  X(inline_handled, "ftc_transport_inline_handled_total", "")
 
   struct EndpointStats {
     FTC_COUNTER_FIELDS(FTC_TRANSPORT_COUNTERS, EndpointStats)
@@ -247,15 +273,25 @@ class Transport {
   struct Endpoint {
     NodeId node = ftc::kInvalidNode;
     Handler handler;
+    FastHandler fast_handler;
     std::vector<std::thread> workers;
+    /// Handler slots: at most this many handlers, queued or fast, run at
+    /// once (the registered worker count).
+    std::size_t slots = 1;
     mutable std::mutex mutex;
+    /// Workers wait here for a queued request and a free slot.
     std::condition_variable cv;
+    /// Shutdown waits here for in-flight fast-path handlers.
+    std::condition_variable fast_idle_cv;
     std::deque<std::shared_ptr<PendingCall>> queue;
     AdmissionConfig admission;
     LoadReportConfig load_report;
-    /// Handlers currently executing (incremented at pickup, decremented
-    /// when the response is stamped); part of the load sample.
+    /// Handlers currently executing, fast path included (incremented when
+    /// a slot is claimed, decremented when the response is stamped); part
+    /// of the load sample.
     std::size_t inflight = 0;
+    /// Of `inflight`, fast-path handlers running on callers' threads.
+    std::size_t fast_running = 0;
     /// Smoothed load estimate (queue depth + inflight), updated at worker
     /// pickup under the endpoint mutex.  Only advances while load
     /// reporting is enabled.
@@ -281,8 +317,34 @@ class Transport {
 
   void worker_loop(Endpoint& endpoint);
 
-  mutable std::mutex registry_mutex_;
-  std::unordered_map<NodeId, std::unique_ptr<Endpoint>> endpoints_;
+  /// The endpoint registered as `node`, or nullptr.  The returned
+  /// reference keeps the endpoint alive across an unregister.
+  std::shared_ptr<Endpoint> find(NodeId node) const;
+  /// Runs `fn` on `node`'s endpoint under its mutex (no-op when absent).
+  template <typename Fn>
+  void update(NodeId node, Fn&& fn);
+  /// Stops the workers, joins them and waits for fast-path handlers.
+  static void stop(Endpoint& endpoint);
+  /// True when a request may run on the caller's thread (under mutex).
+  static bool fast_path_open(const Endpoint& endpoint);
+  /// Queues a request (duplication and reordering faults applied), sets
+  /// the caller's `future` and returns the pending call.  Under mutex;
+  /// the caller wakes a worker once it has released the mutex.
+  static std::shared_ptr<PendingCall> enqueue(
+      Endpoint& endpoint, RpcRequest request,
+      std::future<RpcResponse>& future);
+  /// Worker-pickup bookkeeping, shared by both paths: the load sample and
+  /// the kServerQueue span [enqueue_ns, pickup_ns].  Under mutex, with the
+  /// request's slot already counted in `inflight`.
+  static void on_pickup(Endpoint& endpoint, const RpcRequest& request,
+                        std::int64_t enqueue_ns, std::int64_t pickup_ns);
+  /// Completion bookkeeping, shared by both paths: corruption fault,
+  /// `handled`, the slot release and the load hint.  Under mutex.
+  static void on_complete(Endpoint& endpoint, RpcResponse& response);
+
+  /// Shared for lookups (every call); exclusive only to (un)register.
+  mutable std::shared_mutex registry_mutex_;
+  std::unordered_map<NodeId, std::shared_ptr<Endpoint>> endpoints_;
 
   // Async-call bookkeeping: completions run on a bounded pool, created
   // lazily so transports that never go async pay no threads.

@@ -41,11 +41,18 @@ Status CacheStore::put_size_only(const std::string& path,
 }
 
 StatusOr<common::Buffer> CacheStore::get(const std::string& path) {
-  const auto it = entries_.find(path);
-  if (it == entries_.end()) {
+  std::optional<common::Buffer> hit = get_if_present(path);
+  if (!hit) {
     ++misses_;
     return Status::not_found(path);
   }
+  return std::move(*hit);
+}
+
+std::optional<common::Buffer> CacheStore::get_if_present(
+    const std::string& path) {
+  const auto it = entries_.find(path);
+  if (it == entries_.end()) return std::nullopt;
   ++hits_;
   switch (policy_) {
     case EvictionPolicy::kLru:

@@ -54,6 +54,10 @@ class CacheStore {
   /// refcount bump, never an O(size) copy.
   StatusOr<common::Buffer> get(const std::string& path);
 
+  /// get() that counts nothing on a miss: a hit counts and refreshes
+  /// recency exactly as get() does; absent returns nullopt.
+  std::optional<common::Buffer> get_if_present(const std::string& path);
+
   /// Presence check without touching recency.
   [[nodiscard]] bool contains(const std::string& path) const;
 

@@ -125,6 +125,13 @@ StatusOr<common::Buffer> ShardedCacheStore::get(const std::string& path) {
   return shard.store.get(path);
 }
 
+std::optional<common::Buffer> ShardedCacheStore::get_if_present(
+    const std::string& path) {
+  Shard& shard = *shards_[shard_for(path)];
+  std::lock_guard lock(shard.mutex);
+  return shard.store.get_if_present(path);
+}
+
 bool ShardedCacheStore::contains(const std::string& path) const {
   const Shard& shard = *shards_[shard_for(path)];
   std::lock_guard lock(shard.mutex);

@@ -52,6 +52,8 @@ class ShardedCacheStore {
 
   /// Zero-copy read: the returned Buffer shares the entry's bytes.
   StatusOr<common::Buffer> get(const std::string& path);
+  /// get() that counts nothing on a miss (see CacheStore::get_if_present).
+  std::optional<common::Buffer> get_if_present(const std::string& path);
 
   [[nodiscard]] bool contains(const std::string& path) const;
   [[nodiscard]] std::optional<std::uint64_t> size_of(

@@ -61,6 +61,10 @@ class StoreIface {
   virtual Status put(const std::string& path, common::Buffer contents,
                      std::uint64_t logical_size, std::uint64_t generation) = 0;
   virtual StatusOr<common::Buffer> get(const std::string& path) = 0;
+  /// RAM-tier probe for the transport's caller-runs fast path.  A hit
+  /// counts and touches the eviction policy exactly as get() does; a miss
+  /// returns nullopt and counts nothing, never reads NVMe and never sleeps.
+  virtual std::optional<common::Buffer> get_if_ram(const std::string& path) = 0;
   [[nodiscard]] virtual bool contains(const std::string& path) const = 0;
   [[nodiscard]] virtual std::optional<std::uint64_t> size_of(
       const std::string& path) const = 0;
@@ -91,6 +95,10 @@ class LegacyStoreAdapter final : public StoreIface {
   }
   StatusOr<common::Buffer> get(const std::string& path) override {
     return store_.get(path);
+  }
+  /// The legacy store is all RAM.
+  std::optional<common::Buffer> get_if_ram(const std::string& path) override {
+    return store_.get_if_present(path);
   }
   [[nodiscard]] bool contains(const std::string& path) const override {
     return store_.contains(path);

@@ -154,16 +154,20 @@ bool TieredCacheStore::erase_cold(const std::string& path) {
 
 // --- read path ---------------------------------------------------------
 
+std::optional<common::Buffer> TieredCacheStore::get_if_ram(
+    const std::string& path) {
+  Shard& shard = *shards_[shard_for(path)];
+  std::lock_guard lock(shard.mutex);
+  const auto it = shard.entries.find(path);
+  if (it == shard.entries.end()) return std::nullopt;
+  shard.policy->on_hit(path);
+  stats_.hot_hits.fetch_add(1, std::memory_order_relaxed);
+  return it->second.contents;  // refcount bump, zero-copy
+}
+
 StatusOr<common::Buffer> TieredCacheStore::get(const std::string& path) {
-  {
-    Shard& shard = *shards_[shard_for(path)];
-    std::lock_guard lock(shard.mutex);
-    const auto it = shard.entries.find(path);
-    if (it != shard.entries.end()) {
-      shard.policy->on_hit(path);
-      stats_.hot_hits.fetch_add(1, std::memory_order_relaxed);
-      return it->second.contents;  // refcount bump, zero-copy
-    }
+  if (std::optional<common::Buffer> hot = get_if_ram(path)) {
+    return std::move(*hot);
   }
   auto cold = device_->read(path);  // pays modelled NVMe latency
   if (!cold) {

@@ -76,6 +76,8 @@ class TieredCacheStore final : public StoreIface {
   Status put(const std::string& path, common::Buffer contents,
              std::uint64_t logical_size, std::uint64_t generation) override;
   StatusOr<common::Buffer> get(const std::string& path) override;
+  /// Looks only in the RAM shards.
+  std::optional<common::Buffer> get_if_ram(const std::string& path) override;
   [[nodiscard]] bool contains(const std::string& path) const override;
   [[nodiscard]] std::optional<std::uint64_t> size_of(
       const std::string& path) const override;

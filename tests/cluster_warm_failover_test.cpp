@@ -5,8 +5,10 @@
 // the standbys through the reads that follow it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cluster/cluster.hpp"
@@ -174,6 +176,68 @@ TEST(WarmFailover, RejoinAfterReinstatementRetargetsStandbys) {
   EXPECT_GT(cluster.client(0).stats_snapshot().warm_restores,
             restores_after_kill);
   for (const auto& path : paths) {
+    EXPECT_GE(live_holders(cluster, path), 2u) << path;
+  }
+}
+
+TEST(WarmFailover, DeferredRetargetsReplayWithoutAnotherRead) {
+  // Regression: a standby re-target deferred at the restore_concurrency
+  // cap used to be retried only on that file's next read, so a file read
+  // once during a repair kept a single live holder.  Here every survivor
+  // except the reader's own node is slow, so the first re-target's put is
+  // still in flight while the reader's files are read: with a cap of one,
+  // every later re-target defers.  No file is read again, yet the client
+  // must finish the repairs on its own as the puts drain.
+  ClusterConfig config = warm_config();
+  config.client.rpc_timeout = 200ms;
+  config.client.replication.restore_concurrency = 1;
+  Cluster cluster(config);
+  const auto paths = cluster.stage_dataset(96, 64);
+  read_all_and_settle(cluster, 0, paths);
+
+  const NodeId victim = 1;
+  std::string victim_file;
+  for (const auto& path : paths) {
+    if (cluster.client(0).current_owner(path) == victim) victim_file = path;
+  }
+  ASSERT_FALSE(victim_file.empty());
+  cluster.fail_node(victim);
+  const auto detect_deadline = std::chrono::steady_clock::now() + 5s;
+  while (!cluster.client(0).node_failed(victim) &&
+         std::chrono::steady_clock::now() < detect_deadline) {
+    (void)cluster.client(0).read_file(victim_file);
+  }
+  ASSERT_TRUE(cluster.client(0).node_failed(victim));
+  cluster.transport().drain_async();
+
+  // Reads of node 0's own files are fast; their re-target puts go to the
+  // slow successors.
+  std::vector<std::string> local;
+  for (const auto& path : paths) {
+    if (cluster.client(0).current_owner(path) == 0) local.push_back(path);
+  }
+  for (NodeId n = 2; n < cluster.node_count(); ++n) {
+    cluster.transport().set_extra_latency(n, 50ms);
+  }
+  for (const auto& path : local) {
+    ASSERT_TRUE(cluster.client(0).read_file(path).is_ok()) << path;
+  }
+  ASSERT_GT(cluster.client(0).stats_snapshot().warm_deferred, 0u);
+  for (NodeId n = 2; n < cluster.node_count(); ++n) {
+    cluster.transport().set_extra_latency(n, 0ms);
+  }
+
+  const auto all_repaired = [&] {
+    return std::all_of(local.begin(), local.end(), [&](const auto& path) {
+      return live_holders(cluster, path) >= 2;
+    });
+  };
+  const auto settle_deadline = std::chrono::steady_clock::now() + 3s;
+  while (!all_repaired() && std::chrono::steady_clock::now() < settle_deadline) {
+    (void)cluster.client(0).ping(0);
+    std::this_thread::sleep_for(1ms);
+  }
+  for (const auto& path : local) {
     EXPECT_GE(live_holders(cluster, path), 2u) << path;
   }
 }

@@ -468,6 +468,7 @@ TEST(MetricsMigration, ExportedSeriesListIsPinned) {
       "ftc_transport_dropped_total",
       "ftc_transport_duplicated_total",
       "ftc_transport_handled_total",
+      "ftc_transport_inline_handled_total",
       "ftc_transport_partition_dropped_total",
       "ftc_transport_received_data_total",
       "ftc_transport_received_total",

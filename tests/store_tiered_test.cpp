@@ -94,6 +94,40 @@ TEST(TieredStore, ColdHitPromotesBackToRam) {
   EXPECT_EQ(stats.promotions, 1u);
 }
 
+TEST(TieredStore, RamProbeNeverTouchesTheColdTier) {
+  // get_if_ram backs the transport's caller-runs fast path: a RAM hit
+  // counts like get(); a cold or absent path counts nothing and stays put.
+  TieredCacheStore store(test_config());
+  for (int i = 0; i < 9; ++i) {
+    ASSERT_TRUE(store.put(path_of(i), bytes_of(100), 100, 0).is_ok());
+  }
+  ASSERT_EQ(store.tier_of(path_of(0)), "nvme");
+  ASSERT_EQ(store.tier_of(path_of(8)), "ram");
+  const StoreStats before = store.stats_snapshot();
+  EXPECT_FALSE(store.get_if_ram(path_of(0)).has_value());
+  EXPECT_FALSE(store.get_if_ram("/t/absent").has_value());
+  EXPECT_EQ(store.tier_of(path_of(0)), "nvme");
+  const auto hot = store.get_if_ram(path_of(8));
+  ASSERT_TRUE(hot.has_value());
+  EXPECT_EQ(hot->size(), 100u);
+  const StoreStats after = store.stats_snapshot();
+  EXPECT_EQ(after.hot_hits, before.hot_hits + 1);
+  EXPECT_EQ(after.cold_hits, before.cold_hits);
+  EXPECT_EQ(after.misses, before.misses);
+  EXPECT_EQ(after.promotions, before.promotions);
+}
+
+TEST(TieredStore, LegacyAdapterRamProbeCountsOnlyHits) {
+  LegacyStoreAdapter store(1 << 20, storage::EvictionPolicy::kLru, 4);
+  ASSERT_TRUE(store.put("/t/a", bytes_of(10), 10, 0).is_ok());
+  EXPECT_FALSE(store.get_if_ram("/t/absent").has_value());
+  EXPECT_EQ(store.miss_count(), 0u);
+  ASSERT_TRUE(store.get_if_ram("/t/a").has_value());
+  EXPECT_EQ(store.hit_count(), 1u);
+  EXPECT_FALSE(store.get("/t/absent").is_ok());
+  EXPECT_EQ(store.miss_count(), 1u);
+}
+
 TEST(TieredStore, RamHardCapOverflowsToColdWithoutBlocking) {
   // 8 x 100 bytes = 800 (at the high watermark but reclaim only fires
   // when used EXCEEDS it)... so instead: fill to 700, then put 400 —
